@@ -22,8 +22,9 @@ pub struct ArrayConfig {
     pub redundancy: Redundancy,
     /// BGC coordination across members.
     pub gc_mode: GcMode,
-    /// Which driver advances the members. Reports are byte-identical
-    /// for either mode; `Barrier` is the lockstep debug oracle.
+    /// Which driver advances the members. Work stealing is the only
+    /// one, so this selects nothing; the field stays only because the
+    /// `perf-ledger` benchmark names it (see [`ArraySched`]).
     pub sched: ArraySched,
     /// Worker threads for parallel member stepping (1 = serial; must not
     /// exceed the member count). Reports are byte-identical for any
@@ -166,7 +167,6 @@ impl ArrayConfig {
         }
         let mut scheduler = ArrayScheduler::new(members, stripe, self.gc_mode, workload);
         scheduler.set_member_threads(self.member_threads);
-        scheduler.set_sched(self.sched);
         scheduler
     }
 }

@@ -13,10 +13,9 @@
 //!   virtual-time lockstep through the core engine's stepping API, fans
 //!   each logical request out as one sub-request per touched member, and
 //!   completes it when the slowest member does. Members step in parallel
-//!   under either a work-stealing driver ([`ArraySched::Steal`], scales
-//!   to hundreds of members) or the lockstep barrier oracle
-//!   ([`ArraySched::Barrier`]) — reports are byte-identical either way,
-//!   for any thread count.
+//!   under a work-stealing driver that scales to hundreds of members;
+//!   its reports are byte-identical for any thread count and to the
+//!   single-threaded [`ArrayScheduler::run_reference`] oracle.
 //! * [`ArrayManager`] — the coordination brain: staggers member flusher
 //!   phases ([`GcMode::Staggered`]) so background-GC windows de-correlate
 //!   instead of stalling every stripe column at once, and steers mirrored

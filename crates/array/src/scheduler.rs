@@ -13,31 +13,23 @@ use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex, MutexGuard};
 
 /// Which engine advances the members during a run.
+///
+/// Work stealing is the only driver, so this enum has one variant and
+/// selects nothing. It is kept, with [`ArrayConfig::sched`], only
+/// because the `perf-ledger` benchmark names both in its array
+/// configuration; the reference oracle is
+/// [`ArrayScheduler::run_reference`], not a variant.
+///
+/// [`ArrayConfig::sched`]: crate::ArrayConfig::sched
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArraySched {
-    /// The PR 5 lockstep driver: every worker sweeps a static member
-    /// partition between two global barriers per quantum, visiting all
-    /// of its members whether or not the quantum touched them. Kept as
-    /// the debug oracle (`--array-sched barrier`).
-    Barrier,
-    /// Work-stealing (the default): only the members a quantum actually
-    /// touched become work items, ordered laggiest-first and dealt into
-    /// per-worker deque shards; a worker that drains its own shard
-    /// steals from its neighbours'. Serial phases lock only the touched
-    /// lanes, so per-quantum driver cost is O(touched), not O(members) —
-    /// the difference between 4 and 256 members.
+    /// Work-stealing: only the members a quantum actually touched become
+    /// work items, ordered laggiest-first and dealt into per-worker
+    /// deque shards; a worker that drains its own shard steals from its
+    /// neighbours'. Serial phases lock only the touched lanes, so
+    /// per-quantum driver cost is O(touched), not O(members) — the
+    /// difference between 4 and 256 members.
     Steal,
-}
-
-impl ArraySched {
-    /// Short display name (used in reports and CLI parsing).
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            ArraySched::Barrier => "barrier",
-            ArraySched::Steal => "steal",
-        }
-    }
 }
 
 /// What one member step produced: everything the serial merge phase
@@ -82,7 +74,7 @@ impl Lane {
     }
 
     /// Steps every queued sub-request in order, recording the same
-    /// telemetry the serial scheduler records: how far the member's
+    /// telemetry the reference loop records: how far the member's
     /// clock trailed the issue time, and whether the step hit FGC.
     fn run_queue(&mut self) {
         for i in 0..self.queue.len() {
@@ -114,9 +106,9 @@ fn pair_mut<T>(xs: &mut [T], a: usize, b: usize) -> (&mut T, &mut T) {
 }
 
 /// Uniform indexed access to the member lanes for the serial phases of
-/// the parallel drivers. The barrier driver pre-locks every lane; the
-/// work-stealing driver locks lazily, so a quantum that touches 10 of
-/// 256 members pays for 10 locks.
+/// the work-stealing driver: a plain slice inline, lock-on-demand lanes
+/// in the pool, so a quantum that touches 10 of 256 members pays for 10
+/// locks.
 trait LaneTable {
     fn lane(&mut self, member: usize) -> &mut Lane;
     /// Two distinct lanes at once (mirrored-read routing).
@@ -130,17 +122,6 @@ impl LaneTable for [Lane] {
 
     fn pair(&mut self, a: usize, b: usize) -> (&mut Lane, &mut Lane) {
         pair_mut(self, a, b)
-    }
-}
-
-impl LaneTable for [MutexGuard<'_, Lane>] {
-    fn lane(&mut self, member: usize) -> &mut Lane {
-        &mut self[member]
-    }
-
-    fn pair(&mut self, a: usize, b: usize) -> (&mut Lane, &mut Lane) {
-        let (x, y) = pair_mut(self, a, b);
-        (&mut *x, &mut *y)
     }
 }
 
@@ -344,8 +325,8 @@ struct MirrorOutcome {
 /// Routes and executes one mirrored-read sub-request over the two
 /// replica members. This is *the* serialization point of the array: the
 /// replica choice reads both members' live GC signals, so every driver —
-/// serial, barrier, work-stealing — funnels through this one function
-/// and the reports cannot drift apart.
+/// the serial reference, inline and pooled work stealing — funnels
+/// through this one function and the reports cannot drift apart.
 fn route_mirrored_sub(
     manager: &mut ArrayManager,
     retry: &mut Vec<Lpn>,
@@ -403,20 +384,19 @@ fn route_mirrored_sub(
 
 /// Wall-clock scheduler telemetry from the last [`run`](ArrayScheduler::run).
 ///
-/// Everything here depends on the driver mode or on OS thread timing
-/// (how often a worker had to steal), so it lives outside the
-/// deterministic [`ArrayReport`] — reports stay byte-identical across
-/// `--array-sched` modes and thread counts, while this struct tells you
-/// what the machinery did to get there. Surfaced in `--bench-json`
-/// (`ssdsim-bench/9`), never in `--json`.
+/// Everything here depends on the driver or on OS thread timing (how
+/// often a worker had to steal), so it lives outside the deterministic
+/// [`ArrayReport`] — reports stay byte-identical across drivers and
+/// thread counts, while this struct tells you what the machinery did to
+/// get there. Surfaced in `--bench-json` (`ssdsim-bench/10`), never in
+/// `--json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchedTelemetry {
-    /// Driver that produced the last run.
-    pub sched: ArraySched,
     /// Configured worker-thread count.
     pub member_threads: usize,
-    /// Scheduling quanta executed (0 for the fully serial barrier path,
-    /// which has no quantum structure).
+    /// Scheduling quanta executed
+    /// ([`run_reference`](ArrayScheduler::run_reference) adds none: it
+    /// has no quantum structure).
     pub epochs: u64,
     /// Total lane executions by a non-owning worker.
     pub steals: u64,
@@ -457,19 +437,18 @@ const ROUND_SHUTDOWN: u8 = 2;
 /// merge phase (the driver folds completions back into the schedule in
 /// request order). Cross-member decisions — mirrored-read routing
 /// through the [`ArrayManager`] — are serial points that truncate the
-/// quantum. Every member sees the exact call sequence the serial
-/// scheduler would have issued, so reports are byte-identical for any
-/// thread count *and* either [`ArraySched`] mode; which worker stepped a
-/// member is invisible to the simulation.
+/// quantum. Every member sees the exact call sequence the reference
+/// loop would have issued, so reports are byte-identical for any
+/// thread count and identical to
+/// [`run_reference`](ArrayScheduler::run_reference); which worker
+/// stepped a member is invisible to the simulation.
 pub struct ArrayScheduler {
     members: Vec<SsdSystem>,
     stripe: StripeMap,
     manager: ArrayManager,
     workload: Box<dyn Workload>,
-    /// Worker threads for the parallel step phase (1 = serial path).
+    /// Worker threads for the parallel step phase (1 = inline driver).
     member_threads: usize,
-    /// Which driver advances the members.
-    sched: ArraySched,
 
     // Closed-loop schedule state, mirroring the single-device engine.
     thread_completion: Vec<SimTime>,
@@ -537,7 +516,6 @@ impl ArrayScheduler {
             stripe,
             workload,
             member_threads: 1,
-            sched: ArraySched::Steal,
             thread_completion: vec![SimTime::ZERO; queue_depth],
             next_thread: 0,
             schedule: SimTime::ZERO,
@@ -603,26 +581,12 @@ impl ArrayScheduler {
         self.member_threads
     }
 
-    /// Selects the driver mode. Both modes produce byte-identical
-    /// reports; [`ArraySched::Barrier`] exists as the lockstep debug
-    /// oracle for [`ArraySched::Steal`] (the default).
-    pub fn set_sched(&mut self, sched: ArraySched) {
-        self.sched = sched;
-    }
-
-    /// The configured driver mode.
-    #[must_use]
-    pub fn sched(&self) -> ArraySched {
-        self.sched
-    }
-
     /// Wall-clock scheduler telemetry from the last run (zeros before
     /// the first). See [`SchedTelemetry`] for why this is separate from
     /// the report.
     #[must_use]
     pub fn sched_telemetry(&self) -> SchedTelemetry {
         SchedTelemetry {
-            sched: self.sched,
             member_threads: self.member_threads,
             epochs: self.epochs,
             steals: self.steal_counts.iter().sum(),
@@ -630,19 +594,10 @@ impl ArrayScheduler {
         }
     }
 
-    /// Selects every member's GC migration path: bulk `copy_pages`
-    /// (default) or the per-page loop. Observationally identical — an
-    /// A/B measurement switch (see `Ftl::set_bulk_gc`).
-    pub fn set_bulk_gc(&mut self, enabled: bool) {
-        for member in &mut self.members {
-            member.set_bulk_gc(enabled);
-        }
-    }
-
     /// Switches every member's quiescence fast-forward (see
     /// [`SsdSystem::set_fast_forward`]; on by default). Byte-identical
-    /// reports either way — an A/B wall-clock switch. Works under both
-    /// driver modes and any worker-thread count: a skip only moves a
+    /// reports either way — an A/B wall-clock switch. Works under every
+    /// driver and any worker-thread count: a skip only moves a
     /// member's virtual clock to where the per-tick loop would have put
     /// it, so `time_behind` ordering is unaffected.
     pub fn set_fast_forward(&mut self, enabled: bool) {
@@ -693,18 +648,22 @@ impl ArrayScheduler {
     /// Panics if any member's FTL signals an unrecoverable condition,
     /// which indicates a misconfigured experiment.
     pub fn run(&mut self) -> ArrayReport {
-        let threads = self.member_threads.min(self.members.len()).max(1);
-        match (self.sched, threads) {
-            (ArraySched::Barrier, 1) => self.run_serial(),
-            (ArraySched::Barrier, t) => self.run_barrier_pool(t),
-            (ArraySched::Steal, 1) => self.run_steal_inline(),
-            (ArraySched::Steal, t) => self.run_steal_pool(t),
+        match self.member_threads.min(self.members.len()).max(1) {
+            1 => self.run_steal_inline(),
+            threads => self.run_steal_pool(threads),
         }
     }
 
-    /// Single-threaded reference loop: one request at a time, exactly the
-    /// closed-loop schedule of the single-device engine.
-    fn run_serial(&mut self) -> ArrayReport {
+    /// The reference implementation of [`run`](ArrayScheduler::run):
+    /// one request at a time, exactly the closed-loop schedule of the
+    /// single-device engine, with no quanta, lanes or worker threads. It
+    /// ignores the member-thread count. Its report is byte-identical to
+    /// `run`'s at any thread count — the identity tests compare the two.
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](ArrayScheduler::run).
+    pub fn run_reference(&mut self) -> ArrayReport {
         self.manager.apply_stagger(&mut self.members);
         if self.members[0].config().prefill {
             for m in &mut self.members {
@@ -725,9 +684,8 @@ impl ArrayScheduler {
 
     /// Work-stealing driver degenerated to one thread: the same quantum
     /// structure as the pooled driver, executed inline without locks,
-    /// barriers, or worker threads. Exists so `--array-sched steal
-    /// --member-threads 1` exercises the exact dealing/merge code path
-    /// the pool uses.
+    /// barriers, or worker threads. Exists so `--member-threads 1`
+    /// exercises the exact dealing/merge code path the pool uses.
     fn run_steal_inline(&mut self) -> ArrayReport {
         self.manager.apply_stagger(&mut self.members);
         let do_prefill = self.members[0].config().prefill;
@@ -827,84 +785,6 @@ impl ArrayScheduler {
                 run_round(ROUND_STEPS);
             }
             table.release();
-            run_round(ROUND_SHUTDOWN);
-        });
-
-        for (i, lane) in lanes.into_iter().enumerate() {
-            self.absorb_lane(i, lane.into_inner().expect("a member panicked"));
-        }
-        let end = self.end_time();
-        self.build_report(end)
-    }
-
-    /// Barrier-lockstep driver (the debug oracle): a persistent pool of
-    /// `threads` scoped workers advances a static member partition
-    /// between two global barriers per quantum, visiting every member of
-    /// its partition each round, while this thread owns all scheduling,
-    /// routing and merging over fully pre-locked lanes.
-    fn run_barrier_pool(&mut self, threads: usize) -> ArrayReport {
-        self.manager.apply_stagger(&mut self.members);
-        let do_prefill = self.members[0].config().prefill;
-        let queue_depth = self.thread_completion.len();
-        let lanes: Vec<Mutex<Lane>> = std::mem::take(&mut self.members)
-            .into_iter()
-            .map(|system| Mutex::new(Lane::new(system)))
-            .collect();
-        let round = AtomicU8::new(ROUND_STEPS);
-        let start = Barrier::new(threads + 1);
-        let finish = Barrier::new(threads + 1);
-
-        std::thread::scope(|scope| {
-            for worker in 0..threads {
-                let (lanes, round) = (&lanes, &round);
-                let (start, finish) = (&start, &finish);
-                scope.spawn(move || loop {
-                    start.wait();
-                    let op = round.load(Ordering::Acquire);
-                    if op == ROUND_SHUTDOWN {
-                        finish.wait();
-                        break;
-                    }
-                    for lane in lanes.iter().skip(worker).step_by(threads) {
-                        let mut lane = lane.lock().expect("a member panicked");
-                        if op == ROUND_PREFILL {
-                            lane.system.prefill();
-                            continue;
-                        }
-                        lane.run_queue();
-                    }
-                    finish.wait();
-                });
-            }
-
-            let run_round = |op: u8| {
-                round.store(op, Ordering::Release);
-                start.wait();
-                finish.wait();
-            };
-            if do_prefill {
-                run_round(ROUND_PREFILL);
-            }
-
-            let mut q = QuantumState::new(queue_depth, lanes.len());
-            loop {
-                let more;
-                {
-                    // Workers are parked at the start barrier, so every
-                    // lock below is uncontended; holding all guards gives
-                    // the same indexed member access the serial scheduler
-                    // has.
-                    let mut guards: Vec<MutexGuard<'_, Lane>> = lanes
-                        .iter()
-                        .map(|l| l.lock().expect("a member panicked"))
-                        .collect();
-                    more = self.serial_phase(&mut guards[..], &mut q);
-                }
-                if !more {
-                    break;
-                }
-                run_round(ROUND_STEPS);
-            }
             run_round(ROUND_SHUTDOWN);
         });
 
@@ -1281,7 +1161,6 @@ impl std::fmt::Debug for ArrayScheduler {
             .field("members", &self.members.len())
             .field("stripe", &self.stripe)
             .field("gc_mode", &self.manager.mode())
-            .field("sched", &self.sched)
             .field("ops", &self.ops)
             .finish_non_exhaustive()
     }

@@ -1,16 +1,14 @@
 //! **Rack-scale scheduler micro-benchmark** — wall-clock cost of stepping
 //! a 64-member array with one straggling (degraded, GC-heavy) member,
-//! under the work-stealing driver versus the lockstep barrier oracle, at
-//! one and eight member threads.
+//! under the work-stealing driver at one and eight member threads, next
+//! to the single-threaded reference loop (`run_reference`).
 //!
 //! The simulated reports are byte-identical across every cell (the bench
 //! asserts it); only the wall clock moves. The interesting comparisons:
 //!
-//! * `steal` vs `barrier` at the same thread count — the barrier driver
-//!   sweeps and locks all 64 lanes every quantum, the steal driver
-//!   touches only the lanes the quantum actually dealt to, and its
-//!   workers keep pulling the laggiest member instead of idling at two
-//!   global barriers while the straggler finishes its FGC.
+//! * `steal` at one versus eight threads — workers keep pulling the
+//!   laggiest member, so the straggler's FGC overlaps healthy members'
+//!   work instead of serialising the quantum.
 //! * the straggler attribution table — which member set volume p999 and
 //!   how much of its exclusive delay was foreground GC.
 //!
@@ -57,7 +55,9 @@ fn straggle(device: usize, system: &mut SystemConfig) {
     }
 }
 
-fn run_cell(sched: ArraySched, member_threads: usize) -> (ArrayReport, SchedTelemetry, f64) {
+/// Runs one cell: the work-stealing driver at `member_threads`, or the
+/// reference loop when `reference` is set.
+fn run_cell(reference: bool, member_threads: usize) -> (ArrayReport, SchedTelemetry, f64) {
     let system = base_system();
     let per_member = system.ftl.user_pages() - system.ftl.op_pages() / 2;
     let workload = BenchmarkKind::Ycsb.build(
@@ -74,23 +74,26 @@ fn run_cell(sched: ArraySched, member_threads: usize) -> (ArrayReport, SchedTele
         chunk_pages: 4,
         redundancy: Redundancy::None,
         gc_mode: GcMode::Staggered,
-        sched,
+        sched: ArraySched::Steal,
         member_threads,
         system,
     };
     let mut sim = config.build_with(|cfg| PolicyKind::Jit.build(cfg), workload, straggle);
     let start = Instant::now();
-    let report = sim.run();
+    let report = if reference {
+        sim.run_reference()
+    } else {
+        sim.run()
+    };
     let wall = start.elapsed().as_secs_f64();
     (report, sim.sched_telemetry(), wall)
 }
 
 fn main() {
     let cells = [
-        (ArraySched::Barrier, 1),
-        (ArraySched::Steal, 1),
-        (ArraySched::Barrier, 8),
-        (ArraySched::Steal, 8),
+        ("reference", true, 1),
+        ("steal", false, 1),
+        ("steal", false, 8),
     ];
     println!(
         "{:<24}{:>12}{:>10}{:>10}{:>12}{:>10}",
@@ -98,24 +101,22 @@ fn main() {
     );
     let mut baseline = None;
     let mut reference: Option<String> = None;
-    for (sched, threads) in cells {
-        let (report, telemetry, wall) = run_cell(sched, threads);
+    for (name, reference_cell, threads) in cells {
+        let (report, telemetry, wall) = run_cell(reference_cell, threads);
         let json = report.to_json().to_pretty();
         match &reference {
             None => reference = Some(json),
             Some(expected) => assert_eq!(
-                expected,
-                &json,
-                "{} @ {threads} threads changed the simulated report",
-                sched.name()
+                expected, &json,
+                "{name} @ {threads} threads changed the simulated report"
             ),
         }
-        if sched == ArraySched::Barrier && threads == 1 {
+        if reference_cell {
             baseline = Some(wall);
         }
         println!(
             "{:<24}{:>12.3}{:>10}{:>10}{:>12}{:>10}",
-            format!("{}/{} threads", sched.name(), threads),
+            format!("{name}/{threads} threads"),
             wall,
             report.latency_p99_us,
             report.latency_p999_us,
@@ -124,10 +125,10 @@ fn main() {
         );
         if let Some(base) = baseline {
             if wall > 0.0 {
-                println!("{:<24}{:>11.2}x vs barrier/1", "", base / wall);
+                println!("{:<24}{:>11.2}x vs reference", "", base / wall);
             }
         }
-        if sched == ArraySched::Steal && threads == 8 {
+        if threads == 8 {
             // Straggler attribution: the under-provisioned member should
             // own the volume tail.
             let mut by_time: Vec<(usize, _)> = report.member_sched.iter().enumerate().collect();
@@ -154,5 +155,5 @@ fn main() {
             );
         }
     }
-    println!("\nall four cells produced byte-identical simulated reports");
+    println!("\nall three cells produced byte-identical simulated reports");
 }

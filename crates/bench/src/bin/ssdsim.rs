@@ -24,9 +24,11 @@
 //!                          keep their model predictions in --bench-json
 //!   --screen-keep <F>      fraction of each benchmark's cells the screen
 //!                          fills up to beyond the frontier  (default 0.25)
-//!   --seconds <N>          simulated duration          (default 300)
-//!   --iops <F>             mean arrival rate           (default 250)
-//!   --burst <F>            mean burst length           (default 1024)
+//!   --seconds <N>          simulated duration, ≥ 1     (default 300)
+//!   --iops <F>             mean arrival rate, finite and > 0
+//!                                                      (default 250)
+//!   --burst <F>            mean burst length, finite and ≥ 1
+//!                                                      (default 1024)
 //!   --seed <N>             RNG seed                    (default 42)
 //!   --victim <greedy|cost-benefit|fifo|random:<seed>>  (default greedy)
 //!   --no-prefill           start from an erased device (default: aged)
@@ -54,9 +56,9 @@
 //!   --bench-json <path>    also write a machine-readable perf record (host
 //!                          pages simulated per wall-clock second, per-phase
 //!                          timing) for tracking simulator throughput; the
-//!                          record schema is `ssdsim-bench/9` (array runs
+//!                          record schema is `ssdsim-bench/10` (array runs
 //!                          add an `array` section with scheduler telemetry
-//!                          — driver mode, epochs, steal counts — plus
+//!                          — epochs, steal counts — plus
 //!                          per-member entries with their own
 //!                          `phase_*_secs` breakdowns and straggler
 //!                          accounting; screened sweeps write a wrapper
@@ -76,18 +78,10 @@
 //!                          stagger member flusher/BGC phases or leave them
 //!                          aligned                          (default staggered)
 //!   --member-threads <N>   worker threads stepping array members in
-//!                          parallel (must not exceed the member count);
-//!                          reports are byte-identical for any value
+//!                          parallel by work stealing (must not exceed the
+//!                          member count); reports are byte-identical for
+//!                          any value
 //!                                                              (default 1)
-//!   --array-sched <steal|barrier>
-//!                          member-stepping driver: deterministic
-//!                          work-stealing (scales to hundreds of members)
-//!                          or the lockstep barrier debug oracle; reports
-//!                          are byte-identical either way    (default steal)
-//!   --gc-migration <bulk|looped>
-//!                          GC migration path: vectorized copy_pages or the
-//!                          per-page loop; observationally identical, an
-//!                          A/B measurement switch      (default bulk)
 //!   --fast-forward <on|off>
 //!                          quiescence fast-forward: skip provably idle
 //!                          flusher ticks in O(1) (DESIGN.md §15); reports
@@ -142,8 +136,6 @@ struct Args {
     mirror: bool,
     gc_mode: GcMode,
     member_threads: usize,
-    array_sched: ArraySched,
-    bulk_gc: bool,
     fast_forward: bool,
     queue_depth: Option<u32>,
 }
@@ -182,8 +174,6 @@ impl Default for Args {
             mirror: false,
             gc_mode: GcMode::Staggered,
             member_threads: 1,
-            array_sched: ArraySched::Steal,
-            bulk_gc: true,
             fast_forward: true,
             queue_depth: None,
         }
@@ -205,9 +195,7 @@ fn usage() -> ! {
     eprintln!("              [--fault-erase F] [--fault-read F]");
     eprintln!("              [--array N] [--stripe-kb K] [--mirror]");
     eprintln!("              [--gc-mode staggered|unsync] [--member-threads N]");
-    eprintln!("              [--array-sched steal|barrier]");
-    eprintln!("              [--gc-migration bulk|looped] [--fast-forward on|off]");
-    eprintln!("              [--queue-depth N]");
+    eprintln!("              [--fast-forward on|off] [--queue-depth N]");
     eprintln!("see the module docs (`ssdsim.rs`) for value sets");
     std::process::exit(2)
 }
@@ -318,9 +306,27 @@ fn parse_args() -> Args {
                     usage()
                 }
             }
-            "--seconds" => args.seconds = value().parse().unwrap_or_else(|_| usage()),
-            "--iops" => args.iops = value().parse().unwrap_or_else(|_| usage()),
-            "--burst" => args.burst = value().parse().unwrap_or_else(|_| usage()),
+            "--seconds" => {
+                args.seconds = value().parse().unwrap_or_else(|_| usage());
+                if args.seconds == 0 {
+                    eprintln!("--seconds must be at least 1");
+                    usage()
+                }
+            }
+            "--iops" => {
+                args.iops = value().parse().unwrap_or_else(|_| usage());
+                if !(args.iops.is_finite() && args.iops > 0.0) {
+                    eprintln!("--iops must be a positive finite rate");
+                    usage()
+                }
+            }
+            "--burst" => {
+                args.burst = value().parse().unwrap_or_else(|_| usage());
+                if !(args.burst.is_finite() && args.burst >= 1.0) {
+                    eprintln!("--burst must be a finite mean burst length of at least 1");
+                    usage()
+                }
+            }
             "--seed" => args.seed = value().parse().unwrap_or_else(|_| usage()),
             "--victim" => args.victim = parse_victim(&value()),
             "--no-prefill" => args.prefill = false,
@@ -356,26 +362,6 @@ fn parse_args() -> Args {
                 if args.member_threads == 0 {
                     eprintln!("--member-threads must be at least 1");
                     usage()
-                }
-            }
-            "--array-sched" => {
-                args.array_sched = match value().as_str() {
-                    "steal" => ArraySched::Steal,
-                    "barrier" => ArraySched::Barrier,
-                    other => {
-                        eprintln!("unknown array scheduler: {other}");
-                        usage()
-                    }
-                }
-            }
-            "--gc-migration" => {
-                args.bulk_gc = match value().as_str() {
-                    "bulk" => true,
-                    "looped" => false,
-                    other => {
-                        eprintln!("unknown gc migration path: {other}");
-                        usage()
-                    }
                 }
             }
             "--fast-forward" => {
@@ -433,7 +419,7 @@ fn perf_record(
     // workload generation and closed-loop scheduling).
     let untracked = (run_secs - profile.accounted().as_secs_f64()).max(0.0);
     ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
+        .field("schema", "ssdsim-bench/10")
         .field("benchmark", report.workload.as_str())
         .field("policy", report.policy.as_str())
         .field("victim", report.victim_policy.as_str())
@@ -492,7 +478,7 @@ fn perf_record(
         .build()
 }
 
-/// The `--bench-json` perf record of an array run (`ssdsim-bench/9`):
+/// The `--bench-json` perf record of an array run (`ssdsim-bench/10`):
 /// the aggregate throughput fields of [`perf_record`] plus an `array`
 /// section with scheduler telemetry and one entry per member with its
 /// page counts, per-phase wall-clock breakdown, and straggler accounting.
@@ -578,7 +564,7 @@ fn array_perf_record(
         .collect();
     let untracked = (run_secs - profile.accounted().as_secs_f64()).max(0.0);
     ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
+        .field("schema", "ssdsim-bench/10")
         .field("benchmark", report.workload.as_str())
         .field("policy", report.policy.as_str())
         .field("victim", report.member_reports[0].victim_policy.as_str())
@@ -633,10 +619,8 @@ fn array_perf_record(
                 .field("gc_mode", report.gc_mode.as_str())
                 .field("split_requests", report.split_requests)
                 .field("routed_reads", report.routed_reads)
-                // Schema 6: which driver stepped the members and how much
-                // work moved between workers (zero under `barrier` or
+                // Schema 6: how much work moved between workers (zero
                 // with one thread).
-                .field("array_sched", telemetry.sched.name())
                 .field("epochs", telemetry.epochs)
                 .field("steals", telemetry.steals)
                 .build(),
@@ -722,7 +706,7 @@ fn screened_bench_record(
         })
         .collect();
     ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
+        .field("schema", "ssdsim-bench/10")
         .field(
             "screening",
             ObjectBuilder::new()
@@ -825,7 +809,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         chunk_pages,
         redundancy,
         gc_mode: args.gc_mode,
-        sched: args.array_sched,
+        sched: ArraySched::Steal,
         member_threads: args.member_threads,
         system: system.clone(),
     };
@@ -843,10 +827,18 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
     // carries the load a standalone device would; with one plain member
     // this is exactly the single-device workload and the per-device
     // report is byte-identical to the non-array path.
+    let mean_iops = args.iops * columns as f64;
+    if !mean_iops.is_finite() {
+        eprintln!(
+            "--iops {} × {columns} columns overflows the volume arrival rate",
+            args.iops
+        );
+        std::process::exit(2)
+    }
     let workload_config = WorkloadConfig::builder()
         .working_set_pages((system.ftl.user_pages() - system.ftl.op_pages() / 2) * columns)
         .duration(SimDuration::from_secs(args.seconds))
-        .mean_iops(args.iops * columns as f64)
+        .mean_iops(mean_iops)
         .burst_mean(args.burst)
         .seed(args.seed)
         .build();
@@ -869,7 +861,6 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
             let setup_start = Instant::now();
             let workload = benchmark.build(workload_config);
             let mut sim = config.build(|cfg| policy.build(cfg), workload);
-            sim.set_bulk_gc(args.bulk_gc);
             sim.set_fast_forward(args.fast_forward);
             if profile_phases {
                 sim.enable_phase_profiling();
@@ -965,8 +956,7 @@ fn run_array(args: &Args, system: &SystemConfig, members: usize) {
         report.members, args.stripe_kb, report.redundancy, report.gc_mode
     );
     println!(
-        "scheduler       {}, {} member thread(s)",
-        args.array_sched.name(),
+        "scheduler       steal, {} member thread(s)",
         args.member_threads
     );
     println!("policy          {}", report.policy);
@@ -1138,7 +1128,6 @@ fn main() {
     // byte-identical to the same cell of an exhaustive sweep.
     let threads = if kept.len() == 1 { 1 } else { args.threads };
     let profile_phases = args.bench_json.is_some();
-    let bulk_gc = args.bulk_gc;
     let fast_forward = args.fast_forward;
     let system_ref = &system;
     let cells_ref = &cells;
@@ -1158,7 +1147,6 @@ fn main() {
         let workload = cell.benchmark.build(workload_config);
         let policy = cell.policy.build(&cell_system);
         let mut sim = SsdSystem::new(cell_system, policy, workload);
-        sim.set_bulk_gc(bulk_gc);
         sim.set_fast_forward(fast_forward);
         if profile_phases {
             sim.enable_phase_profiling();

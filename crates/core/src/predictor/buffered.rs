@@ -10,7 +10,6 @@ use jitgc_sim::{ByteSize, SimDuration, SimTime};
 /// Index `i` (0-based `i-1`) covers the future write-back interval
 /// `I^i_wb(t) = [t + i·p, t + (i+1)·p]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct BufferedDemand {
     per_interval: Vec<u64>,
 }

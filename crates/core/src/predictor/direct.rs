@@ -8,7 +8,6 @@ use std::collections::VecDeque;
 /// write demands, in bytes. The paper spreads the reservation `δ_dir`
 /// evenly: `D^i_dir = δ_dir / N_wb`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DirectDemand {
     per_interval_bytes: u64,
     nwb: usize,

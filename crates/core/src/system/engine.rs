@@ -1105,13 +1105,6 @@ impl SsdSystem {
         &self.ftl
     }
 
-    /// Selects the GC migration path: bulk `copy_pages` (default) or the
-    /// per-page loop it replaced. Observationally identical — the switch
-    /// exists for A/B measurement (see `Ftl::set_bulk_gc`).
-    pub fn set_bulk_gc(&mut self, enabled: bool) {
-        self.ftl.set_bulk_gc(enabled);
-    }
-
     /// Selects the tick-processing path: quiescence fast-forward
     /// (default) or the pure per-tick loop. Observationally identical —
     /// reports are byte-for-byte the same either way (debug builds
@@ -1423,19 +1416,6 @@ mod tests {
     fn timeline_off_by_default() {
         let report = run(Box::new(NoBgc), BenchmarkKind::Ycsb, 5, 3);
         assert!(report.timeline.is_empty());
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn system_config_serde_round_trips() {
-        let config = SystemConfig::default_sim();
-        let json = serde_json::to_string(&config).expect("serialize");
-        let back: SystemConfig = serde_json::from_str(&json).expect("parse");
-        assert_eq!(back.ftl.user_pages(), config.ftl.user_pages());
-        assert_eq!(back.flusher_period, config.flusher_period);
-        assert_eq!(back.victim, config.victim);
-        assert_eq!(back.queue_depth, config.queue_depth);
-        assert_eq!(back.prefill, config.prefill);
     }
 
     #[test]

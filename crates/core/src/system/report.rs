@@ -8,7 +8,6 @@ use jitgc_sim::json::{JsonValue, ObjectBuilder};
 /// the raw material for time-series plots of free space, reserve targets
 /// and GC activity.
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct IntervalSample {
     /// Interval start, seconds of simulated time.
     pub t_secs: f64,
@@ -29,7 +28,6 @@ pub struct IntervalSample {
 /// One entry of the device's failure timeline, as recorded in the run
 /// report: a block retirement or the final transition to read-only mode.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DegradeEventRecord {
     /// Simulated time of the event, seconds.
     pub t_secs: f64,
@@ -56,7 +54,6 @@ impl DegradeEventRecord {
 /// section is omitted entirely from reports of healthy runs so their
 /// output stays byte-identical with pre-fault-model builds.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct DegradedReport {
     /// `true` once the device stopped accepting writes.
     pub read_only: bool,
@@ -109,7 +106,6 @@ impl DegradedReport {
 /// Everything one simulation run measured — the raw material for every
 /// table and figure in the paper's evaluation.
 #[derive(Debug, Clone, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct SimReport {
     /// Policy display name ("L-BGC", "A-BGC", "ADP-GC", "JIT-GC", …).
     pub policy: String,
@@ -180,11 +176,9 @@ pub struct SimReport {
     /// Pages the device programmed in total (host + GC migrations).
     pub nand_pages_programmed: u64,
     /// Per-interval snapshots (empty unless timeline recording was on).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub timeline: Vec<IntervalSample>,
     /// End-of-life record; `None` for a healthy run (and then absent from
     /// the JSON, keeping fault-free output byte-identical).
-    #[cfg_attr(feature = "serde", serde(default))]
     pub degraded: Option<DegradedReport>,
 }
 
@@ -331,13 +325,6 @@ mod tests {
         let a = dummy(100.0, 2.0);
         let z = dummy(0.0, 2.0);
         let _ = a.normalized_iops(&z);
-    }
-
-    #[test]
-    #[cfg(feature = "serde")]
-    fn serializes_to_json() {
-        let json = serde_json::to_string(&dummy(1.0, 1.0)).expect("serialize");
-        assert!(json.contains("\"iops\""));
     }
 
     #[test]

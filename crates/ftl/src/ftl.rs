@@ -153,12 +153,6 @@ pub struct Ftl {
     /// reused across batches (a mirror layer reads these back from the
     /// surviving replica).
     failed_reads: Vec<Lpn>,
-    /// Full-block collections use the batched
-    /// [`copy_pages`](NandDevice::copy_pages) path when set (the
-    /// default); cleared for A/B comparisons against the per-page loop.
-    /// Both paths produce byte-identical state — debug builds assert it
-    /// on every collection.
-    bulk_gc: bool,
     /// Scratch for the bulk path's victim snapshot, reused across
     /// collections so the steady state allocates nothing.
     gc_snapshot: Vec<(Ppn, Lpn)>,
@@ -206,7 +200,6 @@ impl Ftl {
             retired_pages: 0,
             degrade_events: Vec::new(),
             failed_reads: Vec::new(),
-            bulk_gc: true,
             gc_snapshot: Vec::new(),
             gc_dst_scratch: Vec::new(),
             gc_copy_enabled: false,
@@ -662,30 +655,24 @@ impl Ftl {
         Ok(outcome)
     }
 
-    /// Migrates every remaining valid page out of `victim` and erases it.
-    ///
-    /// Dispatches to the batched [`copy_pages`](NandDevice::copy_pages)
-    /// path (default) or the per-page reference loop; both produce
-    /// byte-identical state and debug builds assert it on every call by
-    /// replaying the collection on a cloned shadow FTL.
+    /// Migrates every remaining valid page out of `victim` and erases it
+    /// through the batched [`copy_pages`](NandDevice::copy_pages) path.
+    /// Debug builds replay every collection on a cloned shadow FTL
+    /// through the per-page reference loop and assert identical state.
     fn collect_block(
         &mut self,
         victim: BlockId,
         now: SimTime,
     ) -> Result<(SimDuration, u64), FtlError> {
         #[cfg(debug_assertions)]
-        let shadow = self.bulk_gc.then(|| self.oracle_shadow());
+        let mut shadow = self.oracle_shadow();
         let t0 = self.gc_copy_enabled.then(std::time::Instant::now);
-        let result = if self.bulk_gc {
-            self.collect_block_bulk(victim, now)
-        } else {
-            self.collect_block_looped(victim, now)
-        };
+        let result = self.collect_block_bulk(victim, now);
         if let Some(t0) = t0 {
             self.gc_copy_wall += t0.elapsed();
         }
         #[cfg(debug_assertions)]
-        if let Some(mut shadow) = shadow {
+        {
             let expected = shadow.collect_block_looped(victim, now);
             self.assert_matches_oracle(&shadow, &expected, &result);
         }
@@ -693,11 +680,11 @@ impl Ftl {
     }
 
     /// Per-page reference implementation of [`collect_block`]: one
-    /// read/program/invalidate round-trip per surviving page. Kept as the
-    /// equivalence oracle for the bulk path and selectable at runtime via
-    /// [`set_bulk_gc`](Self::set_bulk_gc) for A/B benchmarking.
+    /// read/program/invalidate round-trip per surviving page. Debug-only:
+    /// it exists solely as the equivalence oracle for the bulk path.
     ///
     /// [`collect_block`]: Self::collect_block
+    #[cfg(debug_assertions)]
     fn collect_block_looped(
         &mut self,
         victim: BlockId,
@@ -851,8 +838,8 @@ impl Ftl {
     }
 
     /// Clones the full FTL state (fault-model RNG position included) into
-    /// a shadow instance pinned to the per-page path, so a bulk collection
-    /// can be replayed and compared field-for-field.
+    /// a shadow instance, so a bulk collection can be replayed through
+    /// the per-page loop and compared field-for-field.
     #[cfg(debug_assertions)]
     fn oracle_shadow(&self) -> Ftl {
         Ftl {
@@ -879,7 +866,6 @@ impl Ftl {
             retired_pages: self.retired_pages,
             degrade_events: self.degrade_events.clone(),
             failed_reads: self.failed_reads.clone(),
-            bulk_gc: false,
             gc_snapshot: Vec::new(),
             gc_dst_scratch: Vec::new(),
             gc_copy_enabled: false,
@@ -1373,21 +1359,6 @@ impl Ftl {
     #[must_use]
     pub fn victim_policy(&self) -> &'static str {
         self.selector.name()
-    }
-
-    /// Selects between the batched full-block collection path (`true`,
-    /// the default) and the per-page reference loop. Both produce
-    /// byte-identical simulation state; the switch exists for A/B
-    /// benchmarking and the equivalence tests.
-    pub fn set_bulk_gc(&mut self, enabled: bool) {
-        self.bulk_gc = enabled;
-    }
-
-    /// `true` when full-block collections use the batched
-    /// [`copy_pages`](NandDevice::copy_pages) path.
-    #[must_use]
-    pub fn bulk_gc(&self) -> bool {
-        self.bulk_gc
     }
 
     /// Starts wall-clock accounting of full-block GC copy work; the total

@@ -31,7 +31,6 @@ use jitgc_sim::ByteSize;
 /// assert_eq!(g.ppn(BlockId(1), 1), Ppn(129));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Geometry {
     blocks: u32,
     pages_per_block: u32,

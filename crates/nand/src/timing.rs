@@ -31,7 +31,6 @@ use jitgc_sim::{ByteSize, SimDuration};
 /// assert!(t.page_program_cost() < t.raw_program_time());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct NandTiming {
     read: SimDuration,
     program: SimDuration,

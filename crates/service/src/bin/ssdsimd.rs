@@ -30,7 +30,7 @@
 //!   --no-prefill           start from an erased device (default: aged)
 //!   --json                 emit the deterministic service report as JSON
 //!   --bench-json <path>    write a machine-readable perf record
-//!                          (`ssdsim-bench/9`: wall-time fields, the
+//!                          (`ssdsim-bench/10`: wall-time fields, the
 //!                          fast-forward counters and the full `service`
 //!                          block)
 //!   --listen <addr>        serve the wire protocol on a TCP address
@@ -233,7 +233,7 @@ fn parse_args() -> Args {
 
 /// The `--bench-json` perf record: wall-clock throughput of the simulator,
 /// the quiescence fast-forward counters and the full deterministic
-/// `service` block (schema `ssdsim-bench/9`).
+/// `service` block (schema `ssdsim-bench/10`).
 fn perf_record(
     args: &Args,
     report: &ServiceReport,
@@ -250,7 +250,7 @@ fn perf_record(
         }
     };
     ObjectBuilder::new()
-        .field("schema", "ssdsim-bench/9")
+        .field("schema", "ssdsim-bench/10")
         .field("benchmark", "service")
         .field("policy", report.device.policy.as_str())
         .field("seed", args.seed)

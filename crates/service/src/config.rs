@@ -177,8 +177,8 @@ impl ServiceConfig {
     /// # Errors
     ///
     /// Returns a message naming the offending knob when the tenant list
-    /// is empty, any weight is zero, any concurrency or arrival rate is
-    /// non-positive, the SQ depth or dispatch window is zero, the tier
+    /// is empty, any weight is zero, any concurrency is zero or arrival
+    /// rate is non-positive or non-finite, the SQ depth or dispatch window is zero, the tier
     /// thresholds are not strictly increasing within `(0, 1]`, the
     /// hysteresis is negative or at least the Yellow threshold, the
     /// worker-thread count is zero or exceeds the tenant count, or the
@@ -200,9 +200,9 @@ impl ServiceConfig {
                     i, t.name
                 ));
             }
-            if t.mean_iops.is_nan() || t.mean_iops <= 0.0 {
+            if !t.mean_iops.is_finite() || t.mean_iops <= 0.0 {
                 return Err(format!(
-                    "tenant {} ({}) has non-positive mean IOPS {}",
+                    "tenant {} ({}) has mean IOPS {}; it must be positive and finite",
                     i, t.name, t.mean_iops
                 ));
             }
@@ -290,6 +290,7 @@ mod tests {
         assert!(err(&|c| c.tenants[0].weight = 0).contains("weight 0"));
         assert!(err(&|c| c.tenants[1].concurrency = 0).contains("concurrency 0"));
         assert!(err(&|c| c.tenants[2].mean_iops = 0.0).contains("mean IOPS"));
+        assert!(err(&|c| c.tenants[2].mean_iops = f64::INFINITY).contains("mean IOPS"));
         assert!(err(&|c| c.sq_depth = 0).contains("submission-queue depth"));
         assert!(err(&|c| c.dispatch_window = 0).contains("dispatch window"));
         assert!(err(&|c| c.tiers.red = 0.4).contains("strictly increasing"));

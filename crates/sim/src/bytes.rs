@@ -21,7 +21,6 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(op_capacity.to_string(), "16.00 GiB");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct ByteSize(u64);
 
 impl ByteSize {

@@ -31,7 +31,6 @@ use std::collections::VecDeque;
 /// assert_eq!(cdh.reserve_for(0.8), Some(20 * mib));
 /// ```
 #[derive(Debug, Clone)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Cdh {
     histogram: Histogram,
     window: usize,

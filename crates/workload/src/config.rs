@@ -23,7 +23,6 @@ use jitgc_sim::SimDuration;
 /// assert_eq!(config.working_set_pages(), 8192);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct WorkloadConfig {
     working_set_pages: u64,
     duration: SimDuration,

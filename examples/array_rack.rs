@@ -83,11 +83,8 @@ fn main() {
     let telemetry = sim.sched_telemetry();
 
     println!(
-        "{} members, {} straggling, {} scheduler on {} threads",
-        report.members,
-        STRAGGLER,
-        telemetry.sched.name(),
-        telemetry.member_threads
+        "{} members, {} straggling, steal scheduler on {} threads",
+        report.members, STRAGGLER, telemetry.member_threads
     );
     println!(
         "volume latency  mean {} / p99 {} / p999 {} / max {} µs",

@@ -30,27 +30,32 @@ fn workload_for(system: &SystemConfig, columns: u64, seed: u64) -> Box<dyn Workl
     )
 }
 
-fn array_report_with(members: usize, gc_mode: GcMode, sched: ArraySched, seed: u64) -> ArrayReport {
+/// Runs an array through the work-stealing driver, or through the
+/// reference loop when `reference` is set.
+fn array_report_with(members: usize, gc_mode: GcMode, reference: bool, seed: u64) -> ArrayReport {
     let system = SystemConfig::small_for_tests();
     let config = ArrayConfig {
         members,
         chunk_pages: 16,
         redundancy: Redundancy::None,
         gc_mode,
-        sched,
+        sched: ArraySched::Steal,
         member_threads: 1,
         system: system.clone(),
     };
-    config
-        .build(
-            |cfg| PolicyKind::Jit.build(cfg),
-            workload_for(&system, members as u64, seed),
-        )
-        .run()
+    let mut sim = config.build(
+        |cfg| PolicyKind::Jit.build(cfg),
+        workload_for(&system, members as u64, seed),
+    );
+    if reference {
+        sim.run_reference()
+    } else {
+        sim.run()
+    }
 }
 
 fn array_report(members: usize, gc_mode: GcMode, seed: u64) -> ArrayReport {
-    array_report_with(members, gc_mode, ArraySched::Steal, seed)
+    array_report_with(members, gc_mode, false, seed)
 }
 
 /// `--array 1` acceptance criterion: the single member's report is
@@ -76,12 +81,13 @@ fn one_member_array_is_the_standalone_engine() {
     assert_eq!(array.ops, single.ops);
     assert_eq!(array.split_requests, 0);
 
-    // Both drivers degenerate to the same serial schedule at N = 1.
-    let barrier = array_report_with(1, GcMode::Staggered, ArraySched::Barrier, 42);
+    // The steal driver and the reference loop degenerate to the same
+    // serial schedule at N = 1.
+    let reference = array_report_with(1, GcMode::Staggered, true, 42);
     assert_eq!(
-        barrier.to_json().to_pretty(),
+        reference.to_json().to_pretty(),
         array.to_json().to_pretty(),
-        "barrier and steal drivers diverged on a 1-member array"
+        "steal driver diverged from the reference on a 1-member array"
     );
 }
 

@@ -1,12 +1,12 @@
 //! Parallel member stepping is an implementation detail: whatever worker
-//! count steps the members — and whichever driver schedules them, the
-//! work-stealing scheduler or the lockstep barrier oracle — the array
-//! report must be **byte-identical** (as serialized JSON) to the serial
-//! scheduler's. That holds across striped and mirrored layouts, with
-//! wear-dependent fault injection active (the fault timeline is part of
-//! the identity, so a reordered RNG draw anywhere would show up here),
-//! and at rack scale (64 members), where stealing actually moves work
-//! between shards.
+//! count the work-stealing driver steps the members with, the array
+//! report must be **byte-identical** (as serialized JSON) to the
+//! single-threaded reference loop's (`ArrayScheduler::run_reference`).
+//! That holds across striped and mirrored layouts, with wear-dependent
+//! fault injection active (the fault timeline is part of the identity,
+//! so a reordered RNG draw anywhere would show up here), and at rack
+//! scale (64 members), where stealing actually moves work between
+//! shards.
 
 use jitgc_repro::array::{ArrayConfig, ArraySched, GcMode, Redundancy};
 use jitgc_repro::core::policy::{GcPolicy, JitGc};
@@ -40,12 +40,13 @@ fn workload_for(
     )
 }
 
+/// Runs one array and serializes its report: the work-stealing driver
+/// at `threads` member threads, or the reference loop for `None`.
 fn array_json(
     system: &SystemConfig,
     members: usize,
     redundancy: Redundancy,
-    sched: ArraySched,
-    member_threads: usize,
+    threads: Option<usize>,
     seed: u64,
     (secs, iops): (u64, f64),
 ) -> String {
@@ -53,60 +54,58 @@ fn array_json(
         Redundancy::None => members as u64,
         Redundancy::Mirror => members as u64 / 2,
     };
-    ArrayConfig {
+    let mut sim = ArrayConfig {
         members,
         chunk_pages: 16,
         redundancy,
         gc_mode: GcMode::Staggered,
-        sched,
-        member_threads,
+        sched: ArraySched::Steal,
+        member_threads: threads.unwrap_or(1),
         system: system.clone(),
     }
-    .build(jit, workload_for(system, columns, seed, secs, iops))
-    .run()
-    .to_json()
-    .to_pretty()
+    .build(jit, workload_for(system, columns, seed, secs, iops));
+    let report = match threads {
+        Some(_) => sim.run(),
+        None => sim.run_reference(),
+    };
+    report.to_json().to_pretty()
 }
 
-/// Every (driver, thread-count) cell beyond the serial barrier baseline.
-const CELLS: [(ArraySched, usize); 5] = [
-    (ArraySched::Steal, 1),
-    (ArraySched::Steal, 2),
-    (ArraySched::Steal, 4),
-    (ArraySched::Barrier, 2),
-    (ArraySched::Barrier, 4),
-];
+/// Asserts the steal driver matches the reference loop at every thread
+/// count in `threads`.
+fn assert_identical(
+    label: &str,
+    system: &SystemConfig,
+    members: usize,
+    redundancy: Redundancy,
+    threads: &[usize],
+    seed: u64,
+    load: (u64, f64),
+) {
+    let reference = array_json(system, members, redundancy, None, seed, load);
+    for &t in threads {
+        assert_eq!(
+            reference,
+            array_json(system, members, redundancy, Some(t), seed, load),
+            "{label} report diverged from the reference at {t} member threads"
+        );
+    }
+}
 
 /// Striped (no redundancy): members only interact through routing-free
 /// address splitting, so every quantum runs fully parallel.
 #[test]
 fn striped_array_is_identical_for_any_worker_count() {
     let system = SystemConfig::small_for_tests();
-    let serial = array_json(
+    assert_identical(
+        "striped",
         &system,
         4,
         Redundancy::None,
-        ArraySched::Barrier,
-        1,
+        &[1, 2, 4],
         42,
         (15, 400.0),
     );
-    for (sched, threads) in CELLS {
-        assert_eq!(
-            serial,
-            array_json(
-                &system,
-                4,
-                Redundancy::None,
-                sched,
-                threads,
-                42,
-                (15, 400.0)
-            ),
-            "striped report diverged at {threads} member threads ({})",
-            sched.name()
-        );
-    }
 }
 
 /// Mirrored: replica-routed reads are cross-member decisions, so quanta
@@ -114,31 +113,15 @@ fn striped_array_is_identical_for_any_worker_count() {
 #[test]
 fn mirrored_array_is_identical_for_any_worker_count() {
     let system = SystemConfig::small_for_tests();
-    let serial = array_json(
+    assert_identical(
+        "mirrored",
         &system,
         4,
         Redundancy::Mirror,
-        ArraySched::Barrier,
-        1,
+        &[1, 2, 4],
         7,
         (15, 400.0),
     );
-    for (sched, threads) in CELLS {
-        assert_eq!(
-            serial,
-            array_json(
-                &system,
-                4,
-                Redundancy::Mirror,
-                sched,
-                threads,
-                7,
-                (15, 400.0)
-            ),
-            "mirrored report diverged at {threads} member threads ({})",
-            sched.name()
-        );
-    }
 }
 
 /// A `small_for_tests` system with the wear-fault injector armed.
@@ -166,58 +149,34 @@ fn faulty_system() -> SystemConfig {
 fn faulty_array_is_identical_for_any_worker_count() {
     let system = faulty_system();
     for redundancy in [Redundancy::None, Redundancy::Mirror] {
-        let serial = array_json(
+        assert_identical(
+            &format!("faulty {redundancy:?}"),
             &system,
             4,
             redundancy,
-            ArraySched::Barrier,
-            1,
+            &[1, 2, 4],
             21,
             (15, 400.0),
         );
-        for (sched, threads) in CELLS {
-            assert_eq!(
-                serial,
-                array_json(&system, 4, redundancy, sched, threads, 21, (15, 400.0)),
-                "faulty {redundancy:?} report diverged at {threads} member threads ({})",
-                sched.name()
-            );
-        }
     }
 }
 
 /// Rack scale: 64 mirrored members with fault injection and a deep
 /// queue, so quanta are long, mirrored-read serial points are frequent,
 /// and the steal driver's shards actually exchange work. Reports must be
-/// byte-identical across {1, 4, 8} threads for both drivers — the
+/// byte-identical to the reference loop at {1, 4, 8} threads — the
 /// acceptance criterion for the work-stealing scheduler.
 #[test]
 fn rack_scale_array_is_identical_for_any_worker_count_and_driver() {
     let mut system = faulty_system();
     system.queue_depth = 8;
-    let run = |sched, threads| {
-        array_json(
-            &system,
-            64,
-            Redundancy::Mirror,
-            sched,
-            threads,
-            5,
-            (3, 150.0),
-        )
-    };
-    let serial = run(ArraySched::Barrier, 1);
-    for sched in [ArraySched::Steal, ArraySched::Barrier] {
-        for threads in [1, 4, 8] {
-            if sched == ArraySched::Barrier && threads == 1 {
-                continue;
-            }
-            assert_eq!(
-                serial,
-                run(sched, threads),
-                "64-member report diverged at {threads} member threads ({})",
-                sched.name()
-            );
-        }
-    }
+    assert_identical(
+        "64-member",
+        &system,
+        64,
+        Redundancy::Mirror,
+        &[1, 4, 8],
+        5,
+        (3, 150.0),
+    );
 }

@@ -3,8 +3,8 @@
 //! The fast-forward is a pure wall-clock optimization: a run with it on
 //! must produce a report **byte-identical** (as serialized JSON) to the
 //! same run with it off, at every driver level — the single-device
-//! engine, the array scheduler under both driver modes and worker-thread
-//! counts, and the multi-tenant service. These tests pin that contract on
+//! engine, the array scheduler (its reference loop and the work-stealing
+//! driver at several worker-thread counts), and the multi-tenant service. These tests pin that contract on
 //! seeded idle-heavy workloads; debug builds additionally replay every
 //! skipped span through the per-tick loop inside the engine itself (the
 //! oracle in `fast_forward_checked`), so each skip below is doubly
@@ -83,9 +83,10 @@ fn single_device_reports_are_identical_ff_on_and_off_across_workloads() {
     );
 }
 
-/// Runs one array scenario and returns the serialized report plus the
-/// aggregate skip counter.
-fn array_run(sched: ArraySched, member_threads: usize, fast_forward: bool) -> (String, u64) {
+/// Runs one array scenario — the work-stealing driver at `threads`
+/// member threads, or the reference loop for `None` — and returns the
+/// serialized report plus the aggregate skip counter.
+fn array_run(threads: Option<usize>, fast_forward: bool) -> (String, u64) {
     let system = SystemConfig::small_for_tests();
     let members = 4;
     let config = ArrayConfig {
@@ -93,36 +94,38 @@ fn array_run(sched: ArraySched, member_threads: usize, fast_forward: bool) -> (S
         chunk_pages: 16,
         redundancy: Redundancy::None,
         gc_mode: GcMode::Staggered,
-        sched,
-        member_threads,
+        sched: ArraySched::Steal,
+        member_threads: threads.unwrap_or(1),
         system: system.clone(),
     };
     let workload = bursty_idle_workload(&system, BenchmarkKind::Ycsb, members as u64, 1_500, 11);
     let mut sim = config.build(|cfg| PolicyKind::Jit.build(cfg), workload);
     sim.set_fast_forward(fast_forward);
-    let report = sim.run();
+    let report = match threads {
+        Some(_) => sim.run(),
+        None => sim.run_reference(),
+    };
     (report.to_json().to_pretty(), sim.ticks_skipped())
 }
 
-/// The array acceptance criterion: byte-identical reports with the
-/// fast-forward on and off, under both driver modes and both worker
-/// counts — and all five runs agree with each other (the fast-forward
-/// must not break the existing sched/thread-count identities either).
+/// The array acceptance criterion: the reference loop with the
+/// fast-forward off is the baseline; the reference loop with it on and
+/// the steal driver at 1, 2 and 4 worker threads with it on must all
+/// match it byte for byte (the fast-forward must not break the
+/// driver/thread-count identities either).
 #[test]
 fn array_reports_are_identical_ff_on_and_off_across_drivers() {
-    let (baseline, skipped_off) = array_run(ArraySched::Steal, 1, false);
+    let (baseline, skipped_off) = array_run(None, false);
     assert_eq!(skipped_off, 0, "off-run must never skip");
     let mut engaged = 0;
-    for sched in [ArraySched::Steal, ArraySched::Barrier] {
-        for member_threads in [1, 4] {
-            let (on, skipped) = array_run(sched, member_threads, true);
-            assert_eq!(
-                on, baseline,
-                "{sched:?} x {member_threads} thread(s): fast-forward \
-                 changed the array report"
-            );
-            engaged += skipped;
-        }
+    for threads in [None, Some(1), Some(2), Some(4)] {
+        let (on, skipped) = array_run(threads, true);
+        assert_eq!(
+            on, baseline,
+            "{threads:?} thread(s) (None = reference): fast-forward \
+             changed the array report"
+        );
+        engaged += skipped;
     }
     assert!(
         engaged > 0,
